@@ -9,11 +9,11 @@
 //! `workers × 4` scheduled units), expands the phase list into one node
 //! per `(phase, batch)` pair plus one barrier node per phase, wires the
 //! edges from the declared [`DepScope`]s, and hands the whole graph to
-//! the generic [`crate::schedule::run_dag_tagged`] work-stealing
-//! scheduler. There is no barrier between phases: a batch's L2 node runs
-//! the moment its own dependencies finish, even while other batches are
-//! still in L1. No phase owns its own scheduling code: adding a phase
-//! means adding a `Phase` impl and listing it in [`PHASES`].
+//! the generic [`ir::sched::run_dag`] work-stealing scheduler. There is
+//! no barrier between phases: a batch's L2 node runs the moment its own
+//! dependencies finish, even while other batches are still in L1. No
+//! phase owns its own scheduling code: adding a phase means adding a
+//! `Phase` impl and listing it in [`PHASES`].
 //!
 //! Batching is pure scheduling: results still land in per-`(phase,
 //! function)` slots, cache hits are still counted per function, and error
@@ -51,13 +51,13 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use ir::diag::{Diag, DiagKind};
+use ir::sched::{plan_workers, run_dag, topo_order, PoolStats, TASKS_PER_WORKER};
 use ir::ty::Ty;
 use kernel::{CheckCtx, Thm};
 use monadic::{MonadicFn, Prog, ProgramCtx};
 use simpl::stmt::{SimplProgram, SimplStmt};
 
 use crate::pipeline::{derive_seed, Options, Output, PhaseTheorems};
-use crate::schedule::{plan_workers, run_dag_tagged, topo_order, PoolStats, TASKS_PER_WORKER};
 use crate::stats::{PhaseStat, PipelineStats};
 
 /// Which nodes of a dependency phase a node waits for.
@@ -1125,7 +1125,7 @@ impl BatchPlan {
 
 /// Expands [`PHASES`] into the per-batch node graph (with one barrier
 /// node per phase encoding `AllFns` edges linearly) and executes it on
-/// the work-stealing [`run_dag_tagged`] scheduler. Results land in `cx`'s
+/// the work-stealing [`run_dag`] scheduler. Results land in `cx`'s
 /// per-function slots; per-phase clocks, cache and steal counters
 /// accumulate in `cx`.
 pub(crate) fn run_phases(
@@ -1176,7 +1176,7 @@ pub(crate) fn run_phases(
         .into_iter()
         .map(|s| s.into_iter().collect())
         .collect();
-    let (_, pool) = run_dag_tagged(n_nodes, &deps, workers, |node, stolen| {
+    let (_, pool) = run_dag(n_nodes, &deps, workers, |node, stolen| {
         let (p, k) = (node / stride, node % stride);
         if k == nb {
             // Barriers do no work.
@@ -1334,16 +1334,20 @@ pub(crate) fn run_pipeline(
     // relative to the proof-producing phases).
     let parse_start = Instant::now();
     let sp = simpl::translate_program(typed)?;
-    let parse_pool = PoolStats {
-        requested: 1,
-        workers: 1,
-        busy: parse_start.elapsed(),
-        wall: parse_start.elapsed(),
-        steals: 0,
-        tasks: 1,
-    };
-    let mut phases: Vec<PhaseStat> =
-        vec![PhaseStat::from_pool("parse", parse_pool, sp.fns.len(), 0, 0)];
+    let parse_wall = parse_start.elapsed();
+    let mut phases = vec![PhaseStat {
+        name: "parse",
+        pool: PoolStats {
+            requested: 1,
+            workers: 1,
+            busy: parse_wall,
+            wall: parse_wall,
+            steals: 0,
+            tasks: 1,
+        },
+        fns: sp.fns.len(),
+        ..PhaseStat::default()
+    }];
 
     let cx = PhaseCx::new(typed, &sp, opts);
     // Size the pool from the estimated work (term sizes × phase count),
@@ -1434,12 +1438,13 @@ pub(crate) fn run_pipeline(
         steals: c.steals,
         tasks: batches,
     };
-    let mk = |name, pool: PoolStats, fns, thms: &[(String, Thm)], cached| {
-        let proof_nodes = thms.iter().map(|(_, t)| t.proof_size()).sum();
-        PhaseStat {
-            cached,
-            ..PhaseStat::from_pool(name, pool, fns, thms.len(), proof_nodes)
-        }
+    let mk = |name, pool, fns, thms: &[(String, Thm)], cached| PhaseStat {
+        name,
+        pool,
+        fns,
+        thms: thms.len(),
+        proof_nodes: thms.iter().map(|(_, t)| t.proof_size()).sum(),
+        cached,
     };
     let c = &outcome.clocks;
     phases.push(mk("l1", pool(c[0]), n, &l1_thms, c[0].cached));
@@ -1472,8 +1477,12 @@ pub(crate) fn run_pipeline(
         .flat_map(|a| a.thms.iter().map(|(_, t)| t.proof_size()))
         .sum();
     phases.push(PhaseStat {
+        name: "absint",
+        pool: pool(c[6]),
+        fns: n,
+        thms: absint_thms,
+        proof_nodes: absint_nodes,
         cached: c[6].cached,
-        ..PhaseStat::from_pool("absint", pool(c[6]), n, absint_thms, absint_nodes)
     });
 
     let thms = PhaseTheorems {

@@ -3,7 +3,7 @@
 //! The phase logic itself lives in [`crate::phase`]: L1, L2, HL, WA and
 //! caller adaptation are uniform [`crate::phase::Phase`] nodes in a
 //! per-function dependency graph executed by the generic
-//! [`crate::schedule::run_dag`] scheduler. This module keeps the stable
+//! [`ir::sched::run_dag`] scheduler. This module keeps the stable
 //! surface — [`Options`], [`Output`], [`PhaseTheorems`], the one-shot
 //! [`translate`]/[`translate_program`] entry points — and the
 //! seed-derivation shared by every testing-validated rule. Incremental
@@ -14,7 +14,7 @@
 //!
 //! Within the graph, functions are independent (L1/L2/HL) or ordered by
 //! the call graph (WA and caller adaptation). [`Options::workers`] asks
-//! for a pool width; [`crate::schedule::plan_workers`] grants at most the
+//! for a pool width; [`ir::sched::plan_workers`] grants at most the
 //! host CPU count (and `1` when the estimated work would not amortize a
 //! pool), and the granted width drives a work-stealing scheduler over the
 //! whole phase graph with functions grouped into cost-balanced batches
@@ -52,12 +52,13 @@ pub struct Options {
     pub l2_trials: u32,
     /// RNG seed for the testing-validated rules.
     pub seed: u64,
-    /// Worker threads for the per-function phases and theorem replay
-    /// (`0` or `1` = run inline on the calling thread). This is a
-    /// *request*: [`crate::schedule::plan_workers`] may grant fewer —
-    /// never more than the host has CPUs, and `1` when the estimated
-    /// work is too small to amortize a pool. Output is byte-identical at
-    /// every worker count, requested or granted.
+    /// Worker threads for the per-function phases and theorem replay.
+    /// The default `0` (like `1`) runs everything inline on the calling
+    /// thread, so default runs are sequential. This is a *request*:
+    /// [`ir::sched::plan_workers`] may grant fewer — never more than the
+    /// host has CPUs, and `1` when the estimated work is too small to
+    /// amortize a pool. Output is byte-identical at every worker count,
+    /// requested or granted.
     pub workers: usize,
     /// Bypass the adaptive sizing policy and run the pool at exactly
     /// `workers` threads, even on a single-CPU host (where the policy
@@ -212,8 +213,9 @@ impl Output {
             .map_err(|(_, e)| e)
     }
 
-    /// Replays every produced theorem across `workers` threads, reporting
-    /// replay occupancy ([`kernel::check_all`]).
+    /// Replays every produced theorem on up to `workers` threads (the
+    /// replay planner may grant fewer), reporting replay occupancy
+    /// ([`kernel::check_all`]).
     ///
     /// # Errors
     ///

@@ -8,7 +8,7 @@
 //! deterministic and is compared by the determinism test suite.
 //!
 //! Worker counts are reported twice: `requested` (what the caller asked
-//! for) and `workers` (what [`crate::schedule::plan_workers`] actually
+//! for) and `workers` (what [`ir::sched::plan_workers`] actually
 //! granted). Utilization is busy time over `wall × effective workers`,
 //! deliberately *unclamped* — a ratio above `1.0` or a big
 //! requested/effective gap is a scheduling pathology that must stay
@@ -18,21 +18,18 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::time::Duration;
 
-use crate::schedule::PoolStats;
+use ir::sched::PoolStats;
 
 /// One pipeline phase's measurements.
 #[derive(Clone, Debug, Default)]
 pub struct PhaseStat {
     /// Phase name (`parse`, `l1`, `l2`, `hl`, `wa`, `adapt`).
     pub name: &'static str,
-    /// Wall-clock time of the phase.
-    pub wall: Duration,
-    /// Sum of per-worker busy time.
-    pub busy: Duration,
-    /// Workers the phase actually ran with (after the adaptive policy).
-    pub workers: usize,
-    /// Workers the caller asked for.
-    pub requested: usize,
+    /// Pool occupancy of the phase: wall and busy time, requested and
+    /// effective workers, scheduled batch nodes (`tasks`) and the batch
+    /// nodes executed by a worker other than the one that made them ready
+    /// (`steals`).
+    pub pool: PoolStats,
     /// Functions processed.
     pub fns: usize,
     /// Theorems produced.
@@ -42,51 +39,6 @@ pub struct PhaseStat {
     /// Per-function jobs answered from the session artifact store instead
     /// of being recomputed (always `0` for one-shot `translate` runs).
     pub cached: usize,
-    /// Scheduled batch nodes of this phase (functions are grouped into
-    /// cost-balanced batches; see `crate::phase`).
-    pub batches: usize,
-    /// Batch nodes of this phase executed by a worker other than the one
-    /// that made them ready.
-    pub steals: u64,
-}
-
-impl PhaseStat {
-    /// Builds the phase entry from pool occupancy plus counts.
-    #[must_use]
-    pub fn from_pool(
-        name: &'static str,
-        pool: PoolStats,
-        fns: usize,
-        thms: usize,
-        proof_nodes: usize,
-    ) -> PhaseStat {
-        PhaseStat {
-            name,
-            wall: pool.wall,
-            busy: pool.busy,
-            workers: pool.workers,
-            requested: pool.requested,
-            fns,
-            thms,
-            proof_nodes,
-            cached: 0,
-            batches: pool.tasks,
-            steals: pool.steals,
-        }
-    }
-
-    /// Raw busy time over capacity (`wall × effective workers`). Not
-    /// clamped: values above `1.0` expose a wrong effective-worker count,
-    /// values far below `1.0` expose starvation or oversubscription.
-    #[must_use]
-    pub fn utilization(&self) -> f64 {
-        let capacity = self.wall.as_secs_f64() * self.workers.max(1) as f64;
-        if capacity <= 0.0 {
-            0.0
-        } else {
-            self.busy.as_secs_f64() / capacity
-        }
-    }
 }
 
 /// Observability of one pipeline run.
@@ -158,15 +110,15 @@ impl PipelineStats {
     /// Total batch nodes stolen across phases.
     #[must_use]
     pub fn total_steals(&self) -> u64 {
-        self.phases.iter().map(|p| p.steals).sum()
+        self.phases.iter().map(|p| p.pool.steals).sum()
     }
 
     /// Overall worker utilization across the timed phases (raw, unclamped
-    /// — see [`PhaseStat::utilization`]).
+    /// — see [`PoolStats::utilization`]).
     #[must_use]
     pub fn utilization(&self) -> f64 {
-        let wall: f64 = self.phases.iter().map(|p| p.wall.as_secs_f64()).sum();
-        let busy: f64 = self.phases.iter().map(|p| p.busy.as_secs_f64()).sum();
+        let wall: f64 = self.phases.iter().map(|p| p.pool.wall.as_secs_f64()).sum();
+        let busy: f64 = self.phases.iter().map(|p| p.pool.busy.as_secs_f64()).sum();
         let capacity = wall * self.workers.max(1) as f64;
         if capacity <= 0.0 {
             0.0
@@ -221,13 +173,13 @@ impl fmt::Display for PipelineStats {
                 f,
                 "  {:<8} {:>10.1?} {:>6} {:>6} {:>12} {:>7} {:>6} {:>5.0}%",
                 p.name,
-                p.wall,
+                p.pool.wall,
                 p.fns,
                 p.thms,
                 p.proof_nodes,
-                p.batches,
-                p.steals,
-                p.utilization() * 100.0
+                p.pool.tasks,
+                p.pool.steals,
+                p.pool.utilization() * 100.0
             )?;
         }
         Ok(())
@@ -239,58 +191,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn utilization_is_raw_busy_over_capacity() {
-        let p = PhaseStat {
-            name: "l1",
-            wall: Duration::from_millis(10),
-            busy: Duration::from_millis(35),
-            workers: 4,
-            requested: 4,
-            fns: 3,
-            thms: 3,
-            proof_nodes: 30,
-            ..PhaseStat::default()
-        };
-        assert!(p.utilization() <= 1.0 && p.utilization() > 0.8);
-        let empty = PhaseStat::default();
-        assert_eq!(empty.utilization(), 0.0);
-
-        // The pathology that motivated the unclamped report: more busy
-        // time than the claimed worker count admits must *show*, not be
-        // clamped to a clean-looking 100%.
-        let lying = PhaseStat {
-            name: "l1",
-            wall: Duration::from_millis(10),
-            busy: Duration::from_millis(40),
-            workers: 1,
-            requested: 4,
-            ..PhaseStat::default()
-        };
-        assert!(
-            lying.utilization() > 3.9,
-            "oversubscription must be visible: {}",
-            lying.utilization()
-        );
-    }
-
-    #[test]
-    fn requested_vs_effective_workers_survive_from_pool() {
-        let pool = PoolStats {
-            requested: 8,
-            workers: 2,
-            busy: Duration::from_millis(4),
-            wall: Duration::from_millis(2),
-            steals: 3,
-            tasks: 7,
-        };
-        let p = PhaseStat::from_pool("wa", pool, 10, 10, 100);
-        assert_eq!(p.requested, 8);
-        assert_eq!(p.workers, 2);
-        assert_eq!(p.steals, 3);
-        assert_eq!(p.batches, 7);
-    }
-
-    #[test]
     fn summary_is_deterministic_text() {
         let mut s = PipelineStats {
             workers: 2,
@@ -299,11 +199,14 @@ mod tests {
         };
         s.phases.push(PhaseStat {
             name: "l1",
+            pool: PoolStats {
+                tasks: 3,
+                steals: 1,
+                ..PoolStats::default()
+            },
             fns: 2,
             thms: 2,
             proof_nodes: 17,
-            batches: 3,
-            steals: 1,
             ..PhaseStat::default()
         });
         s.fn_theorems.insert("f".into(), 4);

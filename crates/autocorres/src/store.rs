@@ -55,6 +55,7 @@ use std::sync::Arc;
 
 use ir::codec::{digest128_bytes, Codec, DecodeError, Decoder, Encoder};
 use ir::diag::{Diag, DiagKind};
+use ir::sched::{plan_workers, run_dag};
 use kernel::{ReplayCache, Thm};
 use monadic::MonadicFn;
 
@@ -388,54 +389,34 @@ impl DiskStore {
     }
 }
 
-/// Reads and decodes every entry file, in parallel for large stores:
+/// Most workers entry decode fans out to, whatever the host offers.
+const DECODE_MAX_WORKERS: usize = 8;
+
+/// Estimated cost of decoding one entry, in [`plan_workers`] units. Chosen
+/// so a store of 32 or more entries fans out on a multi-CPU host, while a
+/// handful of entries decodes inline.
+const DECODE_ENTRY_COST: u64 = 125;
+
+/// Reads and decodes every entry file on the shared [`run_dag`] pool:
 /// decoding is pure per file (the interner is sharded and thread-safe),
-/// so only the read+decode fans out — results scatter back into path
-/// order and the caller's accept/reject walk stays deterministic. On a
+/// so only the read+decode fans out — results come back in path order and
+/// the caller's accept/reject walk stays deterministic. The width comes
+/// from the entry count, not from [`crate::Options::workers`]: on a
 /// seL4-scale store (~3 900 entries, ~270 k proof nodes) the sequential
-/// decode dominated warm start; fanning it out is what keeps a fresh
-/// process's warm start well under the bench's 25 %-of-cold gate.
+/// decode dominated warm start even for a sequential run. A read error, a
+/// decode error or a panic rejects only its own entry — load never fails,
+/// it degrades.
 fn decode_all(paths: &[PathBuf]) -> Vec<Option<(&'static str, String, PhaseArtifact)>> {
-    let decode_one = |path: &PathBuf| {
-        std::fs::read(path)
-            .map_err(|e| e.to_string())
-            .and_then(|b| decode_entry(&b).map_err(|e| e.0))
-            .ok()
-    };
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(8);
-    if workers <= 1 || paths.len() < 32 {
-        return paths.iter().map(decode_one).collect();
-    }
-    let mut decoded: Vec<Option<(&'static str, String, PhaseArtifact)>> = Vec::new();
-    decoded.resize_with(paths.len(), || None);
-    let next = AtomicU64::new(0);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(|| {
-                    // Per-thread read-through intern caches, as in the
-                    // phase pool and parallel replay.
-                    let _intern_scope = ir::intern::ParallelScope::enter();
-                    let mut mine = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed) as usize;
-                        let Some(path) = paths.get(i) else { break };
-                        mine.push((i, decode_one(path)));
-                    }
-                    mine
-                })
-            })
-            .collect();
-        for h in handles {
-            // A panicked worker's slots stay `None` and count as rejected
-            // — load never fails, it degrades.
-            for (i, r) in h.join().unwrap_or_default() {
-                decoded[i] = r;
-            }
-        }
+    let cost = paths.len() as u64 * DECODE_ENTRY_COST;
+    let workers = plan_workers(DECODE_MAX_WORKERS, cost, false);
+    let deps = vec![Vec::new(); paths.len()];
+    let (decoded, _) = run_dag(paths.len(), &deps, workers, |i, _| {
+        std::panic::catch_unwind(|| {
+            let bytes = std::fs::read(&paths[i]).ok()?;
+            decode_entry(&bytes).ok()
+        })
+        .ok()
+        .flatten()
     });
     decoded
 }
@@ -653,6 +634,45 @@ mod tests {
         let sess = Session::new(opts(&dir));
         assert!(!sess.load_report().version_skew);
         assert!(sess.load_report().artifacts > 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn pooled_decode_rejects_only_the_bad_entries() {
+        // Enough entries that `decode_all` plans a pool on a multi-CPU
+        // host: a corrupt entry and an unreadable one (a directory) must
+        // each cost exactly one rejection, never the load.
+        let src: String = (0..8)
+            .map(|i| format!("unsigned f{i}(unsigned x) {{ return x + {i}u; }}\n"))
+            .collect();
+        let dir = tmpdir("pooled");
+        let clean = {
+            let sess = Session::new(opts(&dir));
+            let out = sess.translate(&src).expect("translate");
+            out.wa.function("f3").unwrap().to_string()
+        };
+        let mut paths: Vec<PathBuf> = std::fs::read_dir(dir.join("artifacts"))
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        paths.sort();
+        let cost = paths.len() as u64 * DECODE_ENTRY_COST;
+        let planned = plan_workers(DECODE_MAX_WORKERS, cost, false);
+        assert!(
+            planned >= ir::sched::host_cpus().min(2),
+            "decode planned inline"
+        );
+        let mut bad = std::fs::read(&paths[5]).unwrap();
+        let mid = bad.len() / 2;
+        bad[mid] ^= 0x01;
+        std::fs::write(&paths[5], &bad).unwrap();
+        std::fs::create_dir(dir.join("artifacts/unreadable.bin")).unwrap();
+        let sess = Session::new(opts(&dir));
+        assert_eq!(sess.load_report().rejected, 2);
+        assert_eq!(sess.load_report().artifacts, paths.len() - 1);
+        let out = sess.translate(&src).expect("translate survives corruption");
+        assert_eq!(out.wa.function("f3").unwrap().to_string(), clean);
+        assert_eq!(out.stats.dirty_fns, 1, "only the corrupt entry recomputes");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -9,7 +9,7 @@
 //! callee's WA theorem) — and (3) terminate (no deadlock; the test would
 //! hang otherwise).
 
-use autocorres::schedule::{par_map, run_dag};
+use ir::sched::run_dag;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -18,7 +18,7 @@ use std::sync::Mutex;
 /// ticks from a shared logical clock.
 fn schedule_and_trace(deps: &[Vec<usize>], workers: usize) -> Vec<(usize, usize)> {
     let clock = AtomicUsize::new(0);
-    let (trace, stats) = run_dag(deps.len(), deps, workers, |_| {
+    let (trace, stats) = run_dag(deps.len(), deps, workers, |_, _| {
         let start = clock.fetch_add(1, Ordering::SeqCst);
         let finish = clock.fetch_add(1, Ordering::SeqCst);
         (start, finish)
@@ -65,19 +65,21 @@ proptest! {
         let deps = codegen::gen_call_graph(seed, n, 0.7);
         let order = |_unused: ()| {
             let log = Mutex::new(Vec::new());
-            run_dag(deps.len(), &deps, 1, |i| log.lock().unwrap().push(i));
+            run_dag(deps.len(), &deps, 1, |i, _| log.lock().unwrap().push(i));
             log.into_inner().unwrap()
         };
         prop_assert_eq!(order(()), order(()));
     }
 
     #[test]
-    fn par_map_matches_sequential_map(
+    fn independent_jobs_return_in_index_order(
         xs in proptest::collection::vec(0u32..1000, 0..50),
         workers in 1usize..9,
     ) {
+        // Empty deps: the shape kernel replay and store decode use.
         let expected: Vec<u64> = xs.iter().map(|&x| u64::from(x) * 7 + 3).collect();
-        let (got, _) = par_map(&xs, workers, |_, &x| u64::from(x) * 7 + 3);
+        let deps = vec![Vec::new(); xs.len()];
+        let (got, _) = run_dag(xs.len(), &deps, workers, |i, _| u64::from(xs[i]) * 7 + 3);
         prop_assert_eq!(got, expected);
     }
 }

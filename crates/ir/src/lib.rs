@@ -15,7 +15,8 @@
 //!   ([`mem::Memory`], Tuch's model) or abstract typed split heaps
 //!   ([`state::AbsState`], Sec 4.4 of the paper),
 //! * [`eval`] — the evaluator giving expressions their meaning,
-//! * [`metrics`] — the *term size* and *lines of spec* metrics of Table 5.
+//! * [`metrics`] — the *term size* and *lines of spec* metrics of Table 5,
+//! * [`sched`] — the one work-stealing pool every parallel stage runs on.
 //!
 //! # Example
 //!
@@ -42,6 +43,7 @@ pub mod mem;
 pub mod metrics;
 pub mod names;
 pub mod pretty;
+pub mod sched;
 pub mod state;
 pub mod ty;
 pub mod typing;

@@ -51,6 +51,21 @@ for w in 1 2 4 8; do
     diff -u "$golden" "$tmp_out" \
         || { echo "tier1: scheduler smoke diverged at --workers $w" >&2; exit 1; }
 done
+# The same pool replays theorems: `--check --emit-cert` on a corpus file
+# must print identical stdout and write byte-identical certificates at
+# every worker count, and certcheck must accept each of them.
+sched_dir=$(mktemp -d)
+trap 'rm -f "$tmp_c" "$tmp_out" "$golden"; rm -rf "$sched_dir"' EXIT
+for w in 1 2 4 8; do
+    ./target/release/autocorres --quiet --check --emit-cert "$sched_dir/w$w.cert" \
+        --workers "$w" tests/corpus/c/crc_table.c > "$sched_dir/w$w.out"
+    cmp "$sched_dir/w1.out" "$sched_dir/w$w.out" \
+        || { echo "tier1: --check stdout diverged at --workers $w" >&2; exit 1; }
+    cmp "$sched_dir/w1.cert" "$sched_dir/w$w.cert" \
+        || { echo "tier1: certificate diverged at --workers $w" >&2; exit 1; }
+    ./target/release/certcheck --quiet "$sched_dir/w$w.cert" \
+        || { echo "tier1: certcheck rejected the --workers $w certificate" >&2; exit 1; }
+done
 
 # Lint smoke: the release CLI's --lint output on the checked-in demo
 # program must match the golden warning set (all four lint kinds, with the
@@ -68,7 +83,7 @@ fi
 # directory, then re-run from a *fresh process* reusing the directory —
 # the warm output must be byte-identical and recompute nothing.
 cache_dir=$(mktemp -d)
-trap 'rm -f "$tmp_c" "$tmp_out" "$golden"; rm -rf "$cache_dir"' EXIT
+trap 'rm -f "$tmp_c" "$tmp_out" "$golden"; rm -rf "$sched_dir" "$cache_dir"' EXIT
 ./target/release/autocorres --quiet --level wa --fn max --cache-dir "$cache_dir" "$tmp_c" > "$tmp_out"
 diff -u "$golden" "$tmp_out" \
     || { echo "tier1: cold cache-dir run diverged" >&2; exit 1; }

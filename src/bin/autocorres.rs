@@ -11,8 +11,10 @@
 //!   --word-abs NAME          word-abstract only NAME (repeatable)
 //!   --trials N               differential-test budget per theorem (default 60)
 //!   --seed N                 RNG seed for testing-validated rules
-//!   --workers N              worker threads for the phase graph (default:
-//!                            adaptive; output is identical at any count)
+//!   --workers N              worker threads for the phase graph and replay
+//!                            (default 0, i.e. one worker: sequential; the
+//!                            pool never exceeds the host's CPUs, and output
+//!                            is identical at any count)
 //!   --metrics                print Table 5-style size metrics and exit
 //!   --check                  replay all theorems through the proof checker
 //!   --lint[=deny]            print static-analysis lints (dead stores,
@@ -73,7 +75,9 @@ fn usage() -> &'static str {
      \x20                 [--no-absint] [--cache-dir DIR] [--emit-cert FILE]\n\
      \x20                 [--quiet] FILE.c\n\
      \x20      autocorres --playback SEED\n\
-     \x20      autocorres --corpus DIR [--trials N] [--seed N] [--workers N]"
+     \x20      autocorres --corpus DIR [--trials N] [--seed N] [--workers N]\n\
+     \n\
+     --workers N requests worker threads; the default 0 (like 1) runs sequentially"
 }
 
 fn parse_args(args: &[String]) -> Result<Cli, String> {

@@ -80,7 +80,7 @@ fn parallel_replay_covers_every_theorem() {
     let report = out.check_all_report(4).unwrap();
     assert_eq!(report.checked, out.thms.len());
     assert_eq!(report.proof_nodes, out.total_proof_size());
-    assert!(report.workers >= 1 && report.workers <= 4);
+    assert!(report.pool.workers >= 1 && report.pool.workers <= 4);
     // And the sequential replay agrees.
     let seq = out.check_all_report(1).unwrap();
     assert_eq!(seq.checked, report.checked);
@@ -92,8 +92,15 @@ fn parallel_replay_reports_first_error_in_theorem_order() {
     // Theorems can't be forged from outside the kernel (LCF), so induce
     // failures by replaying layout-dependent derivations against a context
     // without the struct layouts. Whatever fails first sequentially must be
-    // the reported error at every worker count.
-    let out = translate(casestudies::sources::REVERSE, &Options::default()).unwrap();
+    // the reported error at every worker count. The program (the eChronos
+    // Table 5 profile) carries enough proof nodes that the replay planner
+    // really runs the pool on a multi-CPU host.
+    let src = codegen::generate(&codegen::TABLE5[3], 0xAC);
+    let opts = Options {
+        l2_trials: 2,
+        ..Options::default()
+    };
+    let out = translate(&src, &opts).unwrap();
     let empty_cx = CheckCtx::default();
     let items: Vec<(&str, &kernel::Thm)> = out.thms.iter().map(|(_, n, t)| (n, t)).collect();
     let first_failing = items
@@ -102,6 +109,15 @@ fn parallel_replay_reports_first_error_in_theorem_order() {
         .map(|(n, _)| (*n).to_owned())
         .expect("some derivation must depend on the layouts");
     for workers in [1usize, 2, 8] {
+        let report = kernel::check_all(items.iter().copied(), &out.check_ctx, workers)
+            .expect("replay with the layouts succeeds");
+        if workers >= 2 && ir::sched::host_cpus() >= 2 {
+            assert!(
+                report.pool.workers >= 2,
+                "workers={workers}: replay of {} proof nodes ran inline",
+                report.proof_nodes
+            );
+        }
         let err = kernel::check_all(items.iter().copied(), &empty_cx, workers)
             .expect_err("replay without layouts must fail");
         assert_eq!(
