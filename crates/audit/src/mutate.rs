@@ -760,8 +760,8 @@ fn corrupt_artifact(a: &Artifact) -> Option<Artifact> {
 /// Result of the on-disk store corruption campaign.
 #[derive(Clone, Debug)]
 pub struct DiskAttackReport {
-    /// On-disk mutations performed (bit flips, truncations, garbage
-    /// rewrites, deletions — including of `meta` and `replay.bin`).
+    /// On-disk mutations performed on the store's one pack file (bit
+    /// flips, truncations, garbage rewrites, deletions).
     pub mutations: usize,
     /// Rounds in which the loader visibly degraded (rejected entries or
     /// declared version skew). Deletions load cleanly as misses, so this
@@ -783,8 +783,8 @@ impl DiskAttackReport {
 }
 
 /// Translates `src` through a disk-backed session, then runs `rounds` of
-/// randomized on-disk corruption — each round mutates one stored file
-/// (bit flip, truncation, garbage overwrite, or deletion), warm-starts a
+/// randomized on-disk corruption — each round mutates the store's pack
+/// file (bit flip, truncation, garbage overwrite, or deletion), warm-starts a
 /// fresh session from the damaged directory, and requires byte-identical
 /// WA output plus a passing checker replay. The disk path must uphold the
 /// same property as the in-memory caches: corruption may cost cache
@@ -828,15 +828,8 @@ pub fn attack_disk_store(src: &str, opts: &Options, rounds: usize, seed: u64) ->
         verdicts_stable: true,
     };
     for _ in 0..rounds {
-        let mut files: Vec<std::path::PathBuf> = std::fs::read_dir(dir.join("artifacts"))
-            .expect("store populated")
-            .map(|e| e.expect("readable dir").path())
-            .collect();
-        files.push(dir.join("replay.bin"));
-        files.push(dir.join("meta"));
-        files.sort();
-        let target = &files[rng.gen_range(0..files.len())];
-        let orig = std::fs::read(target).expect("entry readable");
+        let target = &dir.join("store.pack");
+        let orig = std::fs::read(target).expect("store populated");
         match rng.gen_range(0..4u8) {
             0 => {
                 let mut bad = orig.clone();

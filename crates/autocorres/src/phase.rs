@@ -28,7 +28,8 @@
 //! # Content-addressed incremental recomputation
 //!
 //! Every node computes a 128-bit *input digest* before running: a
-//! double-pass hash over the function's typed + Simpl terms, the global
+//! double-pass hash over the function's typed + Simpl terms (source spans
+//! erased, except for the span-reporting `absint` phase), the global
 //! environment (layouts, globals, the signature table), the normalized
 //! driver options, and — for the exec-testing phases — the transitive
 //! callee cone. The [`ArtifactStore`] (owned by [`crate::Session`]) maps
@@ -50,7 +51,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use ir::diag::{Diag, DiagKind};
+use ir::diag::{Diag, DiagKind, Span};
 use ir::sched::{plan_workers, run_dag, topo_order, PoolStats, TASKS_PER_WORKER};
 use ir::ty::Ty;
 use kernel::{CheckCtx, Thm};
@@ -305,6 +306,40 @@ impl Default for PhaseClock {
     }
 }
 
+/// Resets every statement span to the default, so a function's digest
+/// depends on what it says, not on where it sits in the file: an edit
+/// that shifts later functions must not invalidate them.
+fn erase_spans(stmts: &mut [cparser::TStmt]) {
+    use cparser::TStmt;
+    for s in stmts {
+        match s {
+            TStmt::Decl { span, .. }
+            | TStmt::Assign { span, .. }
+            | TStmt::ExprCall(_, span)
+            | TStmt::Return(_, span)
+            | TStmt::Break(span)
+            | TStmt::Continue(span) => {
+                *span = Span::default();
+            }
+            TStmt::If {
+                then_branch,
+                else_branch,
+                span,
+                ..
+            } => {
+                *span = Span::default();
+                erase_spans(then_branch);
+                erase_spans(else_branch);
+            }
+            TStmt::While { body, span, .. } | TStmt::DoWhile { body, span, .. } => {
+                *span = Span::default();
+                erase_spans(body);
+            }
+            TStmt::Block(body) => erase_spans(body),
+        }
+    }
+}
+
 /// Everything the phase jobs share: the inputs, the precomputed digests,
 /// the per-node result slots, and the lazily-built cross-function contexts
 /// of the barrier-dependent phases.
@@ -323,7 +358,7 @@ pub struct PhaseCx<'a> {
     pub typed_idx: Vec<usize>,
     /// Static call graph over name indices (from the Simpl bodies).
     pub callees: Vec<Vec<usize>>,
-    /// Per-function term digest (typed def + Simpl translation).
+    /// Per-function term digest (span-free typed def + Simpl translation).
     pub fn_digests: Vec<u128>,
     /// Per-function transitive-callee cone digest (includes the function).
     pub cone_digests: Vec<u128>,
@@ -405,8 +440,11 @@ impl<'a> PhaseCx<'a> {
             .iter()
             .enumerate()
             .map(|(i, n)| {
+                let mut tf = typed.functions[typed_idx[i]].clone();
+                tf.span = Span::default();
+                erase_spans(&mut tf.body);
                 digest128(|h| {
-                    typed.functions[typed_idx[i]].hash(h);
+                    tf.hash(h);
                     sp.fns[n].hash(h);
                 })
             })
@@ -905,8 +943,11 @@ impl Phase for AbsintPhase {
         // like the other post-WA phases. `no_absint` is hashed here, not
         // in the options digest, so flipping it cannot invalidate the
         // translation phases' cache entries.
+        // The lints carry absolute source spans, so unlike every other
+        // phase this one keys on the function's span-ful typed AST.
         let sh = cx.adapt_shared()?;
-        let extra = sh.ht_digest ^ u128::from(cx.opts.no_absint);
+        let tf = &cx.typed.functions[cx.typed_idx[f]];
+        let extra = digest128(|h| (sh.ht_digest, cx.opts.no_absint, tf).hash(h));
         Ok(cx.cone_scope_digest("absint", f, extra))
     }
     fn run(&self, cx: &PhaseCx<'_>, f: usize) -> Result<Artifact, Failure> {
@@ -958,18 +999,6 @@ impl ArtifactStore {
     #[must_use]
     pub fn new() -> ArtifactStore {
         ArtifactStore::default()
-    }
-
-    /// Number of stored artifacts.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.map.lock().expect("artifact store poisoned").len()
-    }
-
-    /// Is the store empty?
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     fn get(&self, phase: &'static str, name: &str, digest: u128) -> Option<Arc<PhaseArtifact>> {
@@ -1772,5 +1801,28 @@ mod tests {
         assert_ne!(cx_a.fn_digests[0], cx_b.fn_digests[0], "f was edited");
         assert_eq!(cx_a.fn_digests[1], cx_b.fn_digests[1], "g was not");
         assert_eq!(cx_a.env_digest, cx_b.env_digest, "signatures unchanged");
+    }
+
+    #[test]
+    fn fn_digests_ignore_source_positions() {
+        let typed_a = cparser::parse_and_check(
+            "unsigned f(unsigned x) { return x + 1u; }\n\
+             unsigned g(unsigned x) { unsigned y = x; return y * 2u; }\n",
+        )
+        .unwrap();
+        // A leading comment and a longer literal shift every span of `g`.
+        let typed_b = cparser::parse_and_check(
+            "/* moved */\nunsigned f(unsigned x) { return x + 1000u; }\n\
+             unsigned g(unsigned x) { unsigned y = x; return y * 2u; }\n",
+        )
+        .unwrap();
+        assert_ne!(typed_a.functions[1], typed_b.functions[1], "spans moved");
+        let sp_a = simpl::translate_program(&typed_a).unwrap();
+        let sp_b = simpl::translate_program(&typed_b).unwrap();
+        let opts = Options::default();
+        let cx_a = PhaseCx::new(&typed_a, &sp_a, &opts);
+        let cx_b = PhaseCx::new(&typed_b, &sp_b, &opts);
+        assert_ne!(cx_a.fn_digests[0], cx_b.fn_digests[0], "f was edited");
+        assert_eq!(cx_a.fn_digests[1], cx_b.fn_digests[1], "g only moved");
     }
 }

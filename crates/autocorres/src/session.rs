@@ -27,9 +27,10 @@
 //! disk through a [`DiskStore`] (DESIGN.md §6g): `Session::new` preloads
 //! every valid on-disk entry — so a *fresh process* warm-starts exactly
 //! like a long-lived session — and each successful `translate` (and each
-//! `check_all_report`) writes the caches back, best-effort. Disk problems
-//! never fail a translation; they surface as [`LoadReport`] warnings and
-//! degrade to recomputation.
+//! `check_all_report`) writes the caches back. Disk problems never fail a
+//! translation: load problems surface as [`LoadReport`] warnings and
+//! degrade to recomputation, and the first write-back failure is kept for
+//! [`Session::write_back_error`].
 //!
 //! ```
 //! use autocorres::{Options, Session};
@@ -41,10 +42,12 @@
 //!            out2.wa.function("one").unwrap().to_string());
 //! ```
 
+use std::sync::OnceLock;
+
 use ir::diag::Diag;
 use kernel::{KernelError, ReplayCache, ReplayReport};
 
-use crate::phase::{run_pipeline, ArtifactStore, PHASES};
+use crate::phase::{run_pipeline, ArtifactStore};
 use crate::pipeline::{Options, Output};
 use crate::store::{DiskStore, LoadReport};
 
@@ -57,6 +60,8 @@ pub struct Session {
     disk: Option<DiskStore>,
     /// What `Session::new` found on disk (empty default without a disk).
     load: LoadReport,
+    /// The first automatic write-back failure, if any.
+    write_err: OnceLock<std::io::Error>,
 }
 
 impl Session {
@@ -78,11 +83,8 @@ impl Session {
                     Some(d)
                 }
                 Err(e) => {
-                    load.warnings.push(Diag::new(
-                        ir::diag::Phase::Kernel,
-                        ir::diag::DiagKind::Lint,
-                        format!("cache {}: unusable ({e}); persistence disabled", dir.display()),
-                    ));
+                    let msg = format!("unusable ({e}); persistence disabled");
+                    load.warnings.push(crate::store::warning(dir, &msg));
                     None
                 }
             },
@@ -93,19 +95,8 @@ impl Session {
             replay,
             disk,
             load,
+            write_err: OnceLock::new(),
         }
-    }
-
-    /// The options every translation in this session runs with.
-    #[must_use]
-    pub fn options(&self) -> &Options {
-        &self.opts
-    }
-
-    /// Number of artifacts currently held by the session store.
-    #[must_use]
-    pub fn artifacts(&self) -> usize {
-        self.store.len()
     }
 
     /// What `Session::new` loaded (or failed to load) from the disk
@@ -115,17 +106,20 @@ impl Session {
         &self.load
     }
 
-    /// Writes the session caches back to the disk store now. Called
-    /// automatically (best-effort, errors swallowed) after successful
-    /// translations; call explicitly when a write failure must surface.
-    ///
-    /// # Errors
-    ///
-    /// Filesystem errors, or a no-op `Ok` without a `cache_dir`.
-    pub fn persist(&self) -> std::io::Result<()> {
-        match &self.disk {
-            Some(d) => d.save(&self.store, &self.replay),
-            None => Ok(()),
+    /// The first error an automatic write-back hit, if any. The run's
+    /// results stand either way; only the next process's warm start is
+    /// lost.
+    #[must_use]
+    pub fn write_back_error(&self) -> Option<&std::io::Error> {
+        self.write_err.get()
+    }
+
+    /// Writes the session caches back to the disk store, if any, keeping
+    /// the first failure.
+    fn write_back(&self) {
+        let Some(disk) = &self.disk else { return };
+        if let Err(e) = disk.save(&self.store, &self.replay) {
+            let _ = self.write_err.set(e);
         }
     }
 
@@ -164,27 +158,9 @@ impl Session {
     ///
     /// As for [`Session::translate`].
     pub fn translate_program(&self, typed: &cparser::TProgram) -> Result<Output, Diag> {
-        let mut out = run_pipeline(typed, &self.opts, &self.store)?;
-        if self.disk.is_some() {
-            self.stamp_store_stats(&mut out);
-            let _ = self.persist();
-        }
+        let out = run_pipeline(typed, &self.opts, &self.store)?;
+        self.write_back();
         Ok(out)
-    }
-
-    /// Fills the persistence fields of `out.stats` for a disk-backed run.
-    fn stamp_store_stats(&self, out: &mut Output) {
-        let stats = &mut out.stats;
-        stats.store_rejected = self.load.rejected;
-        let total_jobs = out.wa.fns.len() * PHASES.len();
-        stats.store_hits = stats.cached_nodes.min(total_jobs);
-        stats.store_misses = total_jobs.saturating_sub(stats.store_hits);
-        let ms = stats.total_wall.as_millis().min(u128::from(u64::MAX)) as u64;
-        if self.load.artifacts > 0 {
-            stats.warm_start_ms = Some(ms);
-        } else {
-            stats.cold_start_ms = Some(ms);
-        }
     }
 
     /// Replays `out`'s theorems through the independent checker, skipping
@@ -206,9 +182,7 @@ impl Session {
             workers,
             &self.replay,
         )?;
-        if self.disk.is_some() {
-            let _ = self.persist();
-        }
+        self.write_back();
         Ok(rep)
     }
 }

@@ -76,22 +76,6 @@ pub struct PipelineStats {
     pub guards_discharged: usize,
     /// Guards proved *false* — definite faults, surfaced as lints.
     pub guards_refuted: usize,
-    /// Phase jobs answered from artifacts the [`crate::DiskStore`] loaded
-    /// (a subset of `cached_nodes`; 0 without `--cache-dir`). Excluded
-    /// from [`PipelineStats::deterministic_summary`] like `cached_nodes`.
-    pub store_hits: usize,
-    /// Phase jobs a disk-backed run still had to compute (0 without
-    /// `--cache-dir`).
-    pub store_misses: usize,
-    /// On-disk entries rejected at load (corrupt, truncated, foreign, or
-    /// version-skewed) — each degraded to recomputation.
-    pub store_rejected: usize,
-    /// Wall-clock milliseconds of a translation that warm-started from a
-    /// disk store (`Some` only when `--cache-dir` held usable artifacts).
-    pub warm_start_ms: Option<u64>,
-    /// Wall-clock milliseconds of a translation that started cold while
-    /// persistence was enabled (`Some` only with `--cache-dir`).
-    pub cold_start_ms: Option<u64>,
 }
 
 impl PipelineStats {

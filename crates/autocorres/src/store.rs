@@ -1,28 +1,24 @@
 //! Disk-backed artifact persistence: warm-starting a fresh process from an
 //! earlier run's proof state (DESIGN.md §6g).
 //!
-//! A [`DiskStore`] mirrors the two session caches onto disk:
-//!
-//! * every [`ArtifactStore`] entry — `(phase, function, input digest)` →
-//!   phase artifact — as one content-addressed file under `artifacts/`,
-//! * the [`kernel::ReplayCache`]'s successful-validation digests in
-//!   `replay.bin`.
-//!
-//! Layout under the cache directory:
+//! A [`DiskStore`] mirrors the two session caches into one file,
+//! `DIR/store.pack`: a header, then length-prefixed sealed records.
 //!
 //! ```text
-//! meta                          b"ACRSTOR1" + two 16-byte scheme probes
-//! replay.bin                    b"ACRSRPL1" + digests + integrity digest
-//! artifacts/<phase>-<fn>-<digest>.bin
-//!                               b"ACRSART1" + payload + integrity digest
+//! b"ACRSPAK1" + two 16-byte scheme probes      header
+//! record*     u64 LE length + one sealed block:
+//!   b"ACRSART1" + (phase, fn, input digest, artifact) + digest128
+//!               one ArtifactStore entry
+//!   b"ACRSRPL1" + sorted replay digests + digest128
+//!               the ReplayCache's successful validations (one record)
 //! ```
 //!
 //! # Integrity and trust model
 //!
-//! Every file carries a magic header and a trailing
-//! [`ir::codec::digest128_bytes`] over its payload; a corrupt, truncated,
-//! or foreign file fails one of the checks and is **rejected
-//! individually** — the pipeline recomputes that entry from source, so
+//! Every record is sealed with [`ir::codec::seal`] (magic + payload +
+//! [`ir::codec::digest128_bytes`]); a corrupt, truncated, or foreign
+//! record fails a check and is **rejected individually**, and a torn tail
+//! counts as one rejection — the pipeline recomputes what was lost, so
 //! damage degrades warm starts, never verdicts. The store is part of the
 //! *local trusted base* (like the in-memory session caches it mirrors):
 //! the integrity digest defends against accidental corruption, not an
@@ -30,30 +26,38 @@
 //! transport is what proof certificates (`kernel::cert`) are for, and
 //! those revalidate every node.
 //!
-//! Version skew is safe by construction, twice over. First, the `meta`
-//! file records probes of the digest schemes (the codec's FNV construction
-//! and the standard library's `DefaultHasher`, whose fixed SipHash key may
-//! change between Rust releases); a mismatch makes the whole directory
-//! load as a cold start with a diagnostic. Second, even if the probe
-//! missed, a stale entry's *key* digest could never equal one freshly
-//! computed under a different scheme — lookups simply miss and recompute,
-//! and stale replay digests never match a real validation's digest, so a
-//! preload can only skip re-runs of validations that actually succeeded.
+//! Version skew is safe by construction, twice over. First, the header
+//! records probes of the digest schemes (the codec's FNV construction and
+//! the standard library's `DefaultHasher`, whose fixed SipHash key may
+//! change between Rust releases); a mismatch makes the whole pack load as
+//! a cold start with a diagnostic, and the next save replaces it. Second,
+//! even if the probe missed, a stale entry's *key* digest could never
+//! equal one freshly computed under a different scheme — lookups simply
+//! miss and recompute, and stale replay digests never match a real
+//! validation's digest, so a preload can only skip re-runs of validations
+//! that actually succeeded.
 //!
 //! # Concurrency
 //!
-//! Writers create a uniquely named temporary file and `rename` it into
-//! place — atomic on POSIX — so concurrent readers only ever observe
-//! complete files and concurrent writers race to last-writer-wins on
-//! byte-identical content (entries are content-addressed by their key).
+//! A save re-reads the pack, keeps every intact record byte for byte,
+//! appends only the entries it lacks, merges the replay digests into one
+//! record, and renames a uniquely named, fsync'd temporary over the pack
+//! — atomic on POSIX, so readers only ever see a complete pack, and each
+//! writer's pack holds everything that was on disk when it read. Racing
+//! writers settle last-writer-wins; an entry lost to the race is
+//! recomputed by a later run. A save with nothing new writes nothing.
 
 use std::collections::HashSet;
-use std::io::{self, Write as _};
+use std::fs::File;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use ir::codec::{digest128_bytes, Codec, DecodeError, Decoder, Encoder};
+use ir::codec::{
+    decode_from_slice, digest128_bytes, encode_to_vec, seal, unseal, Codec, DecodeError, Decoder,
+    Encoder,
+};
 use ir::diag::{Diag, DiagKind};
 use ir::sched::{plan_workers, run_dag};
 use kernel::{ReplayCache, Thm};
@@ -61,11 +65,11 @@ use monadic::MonadicFn;
 
 use crate::phase::{AbsintFn, AdaptedFn, Artifact, ArtifactStore, PhaseArtifact, PHASES};
 
-/// Magic + version of the store's `meta` file.
-const META_MAGIC: &[u8; 8] = b"ACRSTOR1";
-/// Magic + version of one artifact entry file.
+/// Magic + version of the pack header.
+const PACK_MAGIC: &[u8; 8] = b"ACRSPAK1";
+/// Magic + version of one artifact entry record.
 const ART_MAGIC: &[u8; 8] = b"ACRSART1";
-/// Magic + version of the replay-digest file.
+/// Magic + version of the replay-digest record.
 const RPL_MAGIC: &[u8; 8] = b"ACRSRPL1";
 
 // ---- artifact codecs --------------------------------------------------------
@@ -187,9 +191,10 @@ fn codec_probe() -> u128 {
     digest128_bytes(b"autocorres-store-probe")
 }
 
-fn meta_bytes() -> Vec<u8> {
+/// The pack header: magic + version, then both scheme probes.
+fn header() -> Vec<u8> {
     let mut v = Vec::with_capacity(40);
-    v.extend_from_slice(META_MAGIC);
+    v.extend_from_slice(PACK_MAGIC);
     v.extend_from_slice(&hasher_probe().to_le_bytes());
     v.extend_from_slice(&codec_probe().to_le_bytes());
     v
@@ -202,186 +207,167 @@ fn meta_bytes() -> Vec<u8> {
 pub struct LoadReport {
     /// Artifact entries accepted into the session store.
     pub artifacts: usize,
-    /// Replay-cache digests preloaded.
-    pub replay_digests: usize,
-    /// On-disk entries rejected (corrupt, truncated, foreign, or
-    /// version-skewed) — each falls back to recomputation.
+    /// Pack records rejected (corrupt, truncated, or foreign; a torn tail
+    /// counts once) — each falls back to recomputation.
     pub rejected: usize,
-    /// The whole directory was skipped because its `meta` header did not
-    /// match this build's format/digest schemes.
+    /// The whole pack was skipped because its header did not match this
+    /// build's format/digest schemes.
     pub version_skew: bool,
     /// Non-fatal diagnostics (rejections, skew) for the caller to surface.
     pub warnings: Vec<Diag>,
 }
 
+/// A cache problem, reported without failing the run. The store caches
+/// kernel-checked artifacts; `Lint` is the one non-fatal kind
+/// (warm-start degradation never fails a run).
+pub(crate) fn warning(dir: &Path, what: &str) -> Diag {
+    let msg = format!("cache {}: {what}", dir.display());
+    Diag::new(ir::diag::Phase::Kernel, DiagKind::Lint, msg)
+}
+
 /// A disk-backed mirror of the session caches. See the module docs.
 pub struct DiskStore {
     dir: PathBuf,
-    tmp_seq: AtomicU64,
 }
+
+/// Uniquifies temporary file names across every store of this process.
+static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 impl DiskStore {
     /// Opens (creating if needed) a cache directory.
     ///
     /// # Errors
     ///
-    /// Filesystem errors creating the directory tree.
+    /// Filesystem errors creating the directory.
     pub fn open(dir: &Path) -> io::Result<DiskStore> {
-        std::fs::create_dir_all(dir.join("artifacts"))?;
+        std::fs::create_dir_all(dir)?;
         Ok(DiskStore {
             dir: dir.to_path_buf(),
-            tmp_seq: AtomicU64::new(0),
         })
     }
 
-    /// The directory this store mirrors into.
-    #[must_use]
-    pub fn dir(&self) -> &Path {
-        &self.dir
+    fn pack(&self) -> PathBuf {
+        self.dir.join("store.pack")
     }
 
-    fn warn(msg: String) -> Diag {
-        // The store caches kernel-checked artifacts; `Lint` is the one
-        // non-fatal kind (warm-start degradation never fails a run).
-        Diag::new(ir::diag::Phase::Kernel, DiagKind::Lint, msg)
-    }
-
-    /// Loads every valid on-disk entry into the session caches. Never
-    /// fails: anything unreadable or invalid is counted in
-    /// [`LoadReport::rejected`] and recomputed by the pipeline instead.
+    /// Loads every valid record of the pack into the session caches.
+    /// Never fails: a missing or unreadable pack starts cold, and anything
+    /// invalid is counted in [`LoadReport::rejected`] and recomputed by the
+    /// pipeline instead.
     pub fn load_into(&self, store: &ArtifactStore, replay: &ReplayCache) -> LoadReport {
         let mut rep = LoadReport::default();
-        match std::fs::read(self.dir.join("meta")) {
-            Ok(bytes) => {
-                if bytes != meta_bytes() {
-                    rep.version_skew = true;
-                    rep.warnings.push(Self::warn(format!(
-                        "cache {}: format or digest-scheme mismatch (written by a \
-                         different build?); starting cold",
-                        self.dir.display()
-                    )));
-                    return rep;
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                // A fresh (or pre-meta) directory: nothing trustworthy to
-                // load. Entries and meta will be written on save.
-                if self.has_entries() {
-                    rep.version_skew = true;
-                    rep.warnings.push(Self::warn(format!(
-                        "cache {}: entries present but no meta header; starting cold",
-                        self.dir.display()
-                    )));
-                }
-                return rep;
-            }
+        let bytes = match std::fs::read(self.pack()) {
+            Ok(bytes) => bytes,
+            // A fresh directory: the first save writes the pack.
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return rep,
             Err(e) => {
-                rep.warnings.push(Self::warn(format!(
-                    "cache {}: meta unreadable ({e}); starting cold",
-                    self.dir.display()
-                )));
-                return rep;
-            }
-        }
-
-        let art_dir = self.dir.join("artifacts");
-        let mut paths: Vec<PathBuf> = match std::fs::read_dir(&art_dir) {
-            Ok(rd) => rd.filter_map(|e| e.ok().map(|e| e.path())).collect(),
-            Err(e) => {
-                rep.warnings.push(Self::warn(format!(
-                    "cache {}: artifacts unreadable ({e})",
-                    self.dir.display()
-                )));
+                let msg = format!("store.pack unreadable ({e}); starting cold");
+                rep.warnings.push(warning(&self.dir, &msg));
                 return rep;
             }
         };
-        paths.sort();
-        // In-flight temporaries of a concurrent writer are not entries;
-        // anything else that fails to parse is.
-        paths.retain(|p| p.extension().and_then(|e| e.to_str()) != Some("tmp"));
-        for decoded in decode_all(&paths) {
+        let Some(body) = bytes.strip_prefix(header().as_slice()) else {
+            rep.version_skew = true;
+            rep.warnings.push(warning(
+                &self.dir,
+                "format or digest-scheme mismatch (written by a different build?); starting cold",
+            ));
+            return rep;
+        };
+        let (records, torn) = split_records(body);
+        rep.rejected = usize::from(torn);
+        for decoded in decode_all(&records) {
             match decoded {
-                Some((phase, name, artifact)) => {
-                    store.preload(phase, &name, Arc::new(artifact));
+                Some(Loaded::Entry(phase, name, artifact)) => {
+                    store.preload(phase, &name, artifact);
                     rep.artifacts += 1;
                 }
+                Some(Loaded::Replay(digests)) => replay.preload(&digests),
                 None => rep.rejected += 1,
             }
         }
-
-        match std::fs::read(self.dir.join("replay.bin")) {
-            Ok(bytes) => match decode_replay(&bytes) {
-                Ok(digests) => {
-                    replay.preload(&digests);
-                    rep.replay_digests = digests.len();
-                }
-                Err(_) => rep.rejected += 1,
-            },
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(_) => rep.rejected += 1,
-        }
-
         if rep.rejected > 0 {
-            rep.warnings.push(Self::warn(format!(
-                "cache {}: rejected {} corrupt or foreign entr{} (recomputing)",
-                self.dir.display(),
-                rep.rejected,
-                if rep.rejected == 1 { "y" } else { "ies" }
-            )));
+            let s = if rep.rejected == 1 { "" } else { "s" };
+            let msg = format!(
+                "rejected {} corrupt or foreign record{s} (recomputing)",
+                rep.rejected
+            );
+            rep.warnings.push(warning(&self.dir, &msg));
         }
         rep
     }
 
-    /// Writes the session caches back to disk. Existing entry files are
-    /// kept (content-addressed: same key, same bytes); `meta` and
-    /// `replay.bin` are replaced atomically, the latter merged with
-    /// concurrent writers' digests.
+    /// Writes the session caches back into the pack: keeps every intact
+    /// record already there byte for byte (so records a concurrent process
+    /// wrote survive), appends the entries the pack lacks, and merges the
+    /// replay digests into one record — through one temporary file, one
+    /// fsync, and one rename. Writes nothing when the pack already holds
+    /// every entry and digest.
     ///
     /// # Errors
     ///
-    /// Filesystem errors; the store on disk stays consistent (every file
-    /// is complete) even on failure.
+    /// Filesystem errors; the pack on disk stays complete even on failure.
     pub fn save(&self, store: &ArtifactStore, replay: &ReplayCache) -> io::Result<()> {
-        self.write_atomic(&self.dir.join("meta"), &meta_bytes())?;
-        for ((phase, name, digest), artifact) in store.entries() {
-            let path = self.dir.join("artifacts").join(entry_filename(phase, &name, digest));
-            if path.exists() {
-                continue;
+        let old = std::fs::read(self.pack()).unwrap_or_default();
+        let header = header();
+        // A missing, unreadable, or foreign pack is replaced wholesale.
+        let body = old.strip_prefix(header.as_slice());
+        let (records, torn) = split_records(body.unwrap_or_default());
+        let mut changed = body.is_none() || torn;
+        let mut kept = Vec::with_capacity(records.len());
+        let mut keys = HashSet::new();
+        let mut digests = HashSet::new();
+        for rec in records {
+            match open_record(rec) {
+                Ok(Record::Entry(key, _)) if !keys.contains(&key) => {
+                    keys.insert(key);
+                    kept.push(rec);
+                }
+                Ok(Record::Replay(ds)) => digests.extend(ds),
+                // Corrupt, foreign, unknown-phase, and duplicate records.
+                _ => changed = true,
             }
-            self.write_atomic(&path, &encode_entry(phase, &name, &artifact))?;
         }
-        // Merge-on-write: a concurrent process may have persisted digests
-        // this session never saw; last-writer-wins must not drop them.
-        let mut digests: HashSet<u128> = std::fs::read(self.dir.join("replay.bin"))
-            .ok()
-            .and_then(|b| decode_replay(&b).ok())
-            .map(|v| v.into_iter().collect())
-            .unwrap_or_default();
+        let mut fresh = store.entries();
+        fresh.retain(|(key, _)| !keys.contains(key));
+        let on_disk = digests.len();
         digests.extend(replay.export_digests());
+        if !changed && fresh.is_empty() && digests.len() == on_disk {
+            return Ok(());
+        }
         let mut digests: Vec<u128> = digests.into_iter().collect();
         digests.sort_unstable();
-        self.write_atomic(&self.dir.join("replay.bin"), &encode_replay(&digests))?;
-        Ok(())
+        self.write_atomic(|w| {
+            w.write_all(&header)?;
+            for rec in kept {
+                frame(w, rec)?;
+            }
+            for ((phase, name, _), artifact) in &fresh {
+                frame(w, &encode_entry(phase, name, artifact))?;
+            }
+            frame(w, &seal(RPL_MAGIC, &encode_to_vec(&digests)))
+        })
     }
 
-    fn has_entries(&self) -> bool {
-        std::fs::read_dir(self.dir.join("artifacts"))
-            .map(|mut rd| rd.next().is_some())
-            .unwrap_or(false)
-    }
-
-    /// Writes `bytes` to a unique temporary sibling, then renames it over
-    /// `path` — readers never see a partial file; racing writers settle on
-    /// last-writer-wins.
-    fn write_atomic(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        let seq = self.tmp_seq.fetch_add(1, Ordering::Relaxed);
-        let tmp = path.with_extension(format!("{}-{}.tmp", std::process::id(), seq));
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(bytes)?;
-            f.sync_all()?;
-        }
-        let res = std::fs::rename(&tmp, path);
+    /// Streams the new pack into a unique temporary sibling, then renames
+    /// it over the pack — readers never see a partial pack; racing writers
+    /// settle on last-writer-wins.
+    fn write_atomic<F>(&self, write: F) -> io::Result<()>
+    where
+        F: FnOnce(&mut io::BufWriter<File>) -> io::Result<()>,
+    {
+        let pack = self.pack();
+        let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
+        let tmp = pack.with_extension(format!("{}-{seq}.tmp", std::process::id()));
+        let res = File::create(&tmp)
+            .and_then(|f| {
+                let mut w = io::BufWriter::new(f);
+                write(&mut w)?;
+                w.into_inner()
+                    .map_err(io::IntoInnerError::into_error)?
+                    .sync_all()
+            })
+            .and_then(|()| std::fs::rename(&tmp, &pack));
         if res.is_err() {
             let _ = std::fs::remove_file(&tmp);
         }
@@ -389,47 +375,103 @@ impl DiskStore {
     }
 }
 
-/// Most workers entry decode fans out to, whatever the host offers.
-const DECODE_MAX_WORKERS: usize = 8;
-
-/// Estimated cost of decoding one entry, in [`plan_workers`] units. Chosen
-/// so a store of 32 or more entries fans out on a multi-CPU host, while a
-/// handful of entries decodes inline.
-const DECODE_ENTRY_COST: u64 = 125;
-
-/// Reads and decodes every entry file on the shared [`run_dag`] pool:
-/// decoding is pure per file (the interner is sharded and thread-safe),
-/// so only the read+decode fans out — results come back in path order and
-/// the caller's accept/reject walk stays deterministic. The width comes
-/// from the entry count, not from [`crate::Options::workers`]: on a
-/// seL4-scale store (~3 900 entries, ~270 k proof nodes) the sequential
-/// decode dominated warm start even for a sequential run. A read error, a
-/// decode error or a panic rejects only its own entry — load never fails,
-/// it degrades.
-fn decode_all(paths: &[PathBuf]) -> Vec<Option<(&'static str, String, PhaseArtifact)>> {
-    let cost = paths.len() as u64 * DECODE_ENTRY_COST;
-    let workers = plan_workers(DECODE_MAX_WORKERS, cost, false);
-    let deps = vec![Vec::new(); paths.len()];
-    let (decoded, _) = run_dag(paths.len(), &deps, workers, |i, _| {
-        std::panic::catch_unwind(|| {
-            let bytes = std::fs::read(&paths[i]).ok()?;
-            decode_entry(&bytes).ok()
-        })
-        .ok()
-        .flatten()
-    });
-    decoded
+/// Writes one record with its u64 little-endian length prefix.
+fn frame(w: &mut impl Write, rec: &[u8]) -> io::Result<()> {
+    w.write_all(&(rec.len() as u64).to_le_bytes())?;
+    w.write_all(rec)
 }
 
-/// `<phase>-<fn>-<digest>.bin`, with the function name sanitized for the
-/// filesystem (C identifiers pass through unchanged; the digest keeps
-/// sanitized names collision-free regardless).
-fn entry_filename(phase: &str, name: &str, digest: u128) -> String {
-    let safe: String = name
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() || c == '_' { c } else { '-' })
-        .collect();
-    format!("{phase}-{safe}-{digest:032x}.bin")
+/// Splits the records after the pack header. A final record whose length
+/// prefix overruns the file — a torn tail — is dropped and reported.
+fn split_records(mut body: &[u8]) -> (Vec<&[u8]>, bool) {
+    let mut records = Vec::new();
+    while !body.is_empty() {
+        let Some((len, rest)) = body.split_first_chunk::<8>() else {
+            return (records, true);
+        };
+        let len = usize::try_from(u64::from_le_bytes(*len)).unwrap_or(usize::MAX);
+        if len > rest.len() {
+            return (records, true);
+        }
+        let (rec, next) = rest.split_at(len);
+        records.push(rec);
+        body = next;
+    }
+    (records, false)
+}
+
+/// A record with its seal checked and its magic told apart.
+enum Record<'a> {
+    /// An artifact entry: its store key, and a decoder positioned at the
+    /// artifact itself.
+    Entry((&'static str, String, u128), Decoder<'a>),
+    /// The replay-cache digests.
+    Replay(Vec<u128>),
+}
+
+fn open_record(rec: &[u8]) -> Result<Record<'_>, DecodeError> {
+    if let Ok(payload) = unseal(RPL_MAGIC, rec) {
+        return decode_from_slice(payload).map(Record::Replay);
+    }
+    let payload = unseal(ART_MAGIC, rec).map_err(|e| DecodeError(format!("{e:?}")))?;
+    let mut d = Decoder::new(payload);
+    // The key's phase component is `&'static str`; an entry naming an
+    // unknown phase (a future format, a renamed phase) is rejected.
+    let phase_name = d.str()?;
+    let phase = PHASES
+        .iter()
+        .map(|p| p.name())
+        .find(|n| *n == phase_name)
+        .ok_or_else(|| DecodeError(format!("unknown phase {phase_name:?}")))?;
+    Ok(Record::Entry((phase, d.str()?, d.u128_fixed()?), d))
+}
+
+/// A fully decoded record.
+enum Loaded {
+    Entry(&'static str, String, Arc<PhaseArtifact>),
+    Replay(Vec<u128>),
+}
+
+fn decode_record(rec: &[u8]) -> Result<Loaded, DecodeError> {
+    match open_record(rec)? {
+        Record::Entry((phase, name, digest), mut d) => {
+            let value = Artifact::decode(&mut d)?;
+            if d.remaining() != 0 {
+                return Err(DecodeError(format!("{} trailing bytes", d.remaining())));
+            }
+            let artifact = Arc::new(PhaseArtifact { digest, value });
+            Ok(Loaded::Entry(phase, name, artifact))
+        }
+        Record::Replay(digests) => Ok(Loaded::Replay(digests)),
+    }
+}
+
+/// Most workers record decode fans out to, whatever the host offers.
+const DECODE_MAX_WORKERS: usize = 8;
+
+/// Estimated cost of decoding one record, in [`plan_workers`] units.
+/// Chosen so a pack of 32 or more records fans out on a multi-CPU host,
+/// while a handful of records decodes inline.
+const DECODE_ENTRY_COST: u64 = 125;
+
+/// Decodes every record on the shared [`run_dag`] pool: decoding is pure
+/// per record (the interner is sharded and thread-safe), so results come
+/// back in pack order and the caller's accept/reject walk stays
+/// deterministic. The width comes from the record count, not from
+/// [`crate::Options::workers`]: on a seL4-scale store (~3 900 records,
+/// ~270 k proof nodes) a sequential decode dominated warm start even for
+/// a sequential run. A decode error or a panic rejects only its own
+/// record — load never fails, it degrades.
+fn decode_all(records: &[&[u8]]) -> Vec<Option<Loaded>> {
+    let cost = records.len() as u64 * DECODE_ENTRY_COST;
+    let workers = plan_workers(DECODE_MAX_WORKERS, cost, false);
+    let deps = vec![Vec::new(); records.len()];
+    let (decoded, _) = run_dag(records.len(), &deps, workers, |i, _| {
+        std::panic::catch_unwind(|| decode_record(records[i]).ok())
+            .ok()
+            .flatten()
+    });
+    decoded
 }
 
 fn encode_entry(phase: &str, name: &str, artifact: &PhaseArtifact) -> Vec<u8> {
@@ -438,77 +480,7 @@ fn encode_entry(phase: &str, name: &str, artifact: &PhaseArtifact) -> Vec<u8> {
     e.str(name);
     e.u128_fixed(artifact.digest);
     artifact.value.encode(&mut e);
-    seal(ART_MAGIC, e.finish())
-}
-
-fn decode_entry(bytes: &[u8]) -> Result<(&'static str, String, PhaseArtifact), DecodeError> {
-    let payload = unseal(ART_MAGIC, bytes)?;
-    let mut d = Decoder::new(payload);
-    let phase_name = d.str()?;
-    // The store key's phase component is `&'static str`; an entry naming
-    // an unknown phase (a future format, a renamed phase) is rejected.
-    let phase = PHASES
-        .iter()
-        .map(|p| p.name())
-        .find(|n| *n == phase_name)
-        .ok_or_else(|| DecodeError(format!("unknown phase {phase_name:?}")))?;
-    let name = d.str()?;
-    let digest = d.u128_fixed()?;
-    let value = Artifact::decode(&mut d)?;
-    if d.remaining() != 0 {
-        return Err(DecodeError(format!("{} trailing bytes", d.remaining())));
-    }
-    Ok((phase, name, PhaseArtifact { digest, value }))
-}
-
-fn encode_replay(digests: &[u128]) -> Vec<u8> {
-    let mut e = Encoder::new();
-    e.varint(digests.len() as u64);
-    for &d in digests {
-        e.u128_fixed(d);
-    }
-    seal(RPL_MAGIC, e.finish())
-}
-
-fn decode_replay(bytes: &[u8]) -> Result<Vec<u128>, DecodeError> {
-    let payload = unseal(RPL_MAGIC, bytes)?;
-    let mut d = Decoder::new(payload);
-    let n = d.seq_len()?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(d.u128_fixed()?);
-    }
-    if d.remaining() != 0 {
-        return Err(DecodeError(format!("{} trailing bytes", d.remaining())));
-    }
-    Ok(out)
-}
-
-/// `magic + payload + digest128(payload)`.
-fn seal(magic: &[u8; 8], payload: Vec<u8>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + payload.len() + 16);
-    out.extend_from_slice(magic);
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&digest128_bytes(&payload).to_le_bytes());
-    out
-}
-
-/// Inverse of [`seal`]: checks magic and integrity digest, returns the
-/// payload slice.
-fn unseal<'a>(magic: &[u8; 8], bytes: &'a [u8]) -> Result<&'a [u8], DecodeError> {
-    if bytes.len() < 24 {
-        return Err(DecodeError("file too short".into()));
-    }
-    if &bytes[..8] != magic {
-        return Err(DecodeError("bad magic".into()));
-    }
-    let payload = &bytes[8..bytes.len() - 16];
-    let mut stored = [0u8; 16];
-    stored.copy_from_slice(&bytes[bytes.len() - 16..]);
-    if digest128_bytes(payload) != u128::from_le_bytes(stored) {
-        return Err(DecodeError("integrity digest mismatch".into()));
-    }
-    Ok(payload)
+    seal(ART_MAGIC, &e.finish())
 }
 
 #[cfg(test)]
@@ -536,24 +508,49 @@ mod tests {
         }
     }
 
+    /// Byte ranges of the pack's records (each after its length prefix).
+    fn record_ranges(pack: &[u8]) -> Vec<std::ops::Range<usize>> {
+        let (records, torn) = split_records(&pack[header().len()..]);
+        assert!(!torn, "a freshly written pack has no torn tail");
+        records
+            .iter()
+            .map(|r| {
+                let start = r.as_ptr() as usize - pack.as_ptr() as usize;
+                start..start + r.len()
+            })
+            .collect()
+    }
+
+    /// Appends one length-prefixed record to the pack file.
+    fn append_record(dir: &Path, rec: &[u8]) {
+        let mut pack = std::fs::read(dir.join("store.pack")).unwrap();
+        pack.extend_from_slice(&(rec.len() as u64).to_le_bytes());
+        pack.extend_from_slice(rec);
+        std::fs::write(dir.join("store.pack"), &pack).unwrap();
+    }
+
     #[test]
     fn roundtrip_through_disk_warm_starts() {
         let dir = tmpdir("rt");
         let out1 = {
             let sess = Session::new(opts(&dir));
+            assert_eq!(sess.load_report().artifacts, 0, "first run is cold");
             let out = sess.translate(SRC).expect("translate");
-            assert!(out.stats.cold_start_ms.is_some(), "first run is cold");
             assert_eq!(out.stats.dirty_fns, 1, "everything recomputed cold");
             out
         };
+        let files: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(files, ["store.pack"], "one file per cache directory");
         // A *fresh* session (fresh process stand-in) over the same dir.
         let sess = Session::new(opts(&dir));
         assert!(sess.load_report().artifacts > 0, "artifacts loaded");
         assert_eq!(sess.load_report().rejected, 0);
         let out2 = sess.translate(SRC).expect("translate warm");
         assert_eq!(out2.stats.dirty_fns, 0, "warm start recomputes nothing");
-        assert!(out2.stats.warm_start_ms.is_some());
-        assert_eq!(out2.stats.store_misses, 0);
+        assert_eq!(out2.stats.cached_nodes, PHASES.len() * out2.wa.fns.len());
         assert_eq!(
             out1.wa.function("inc").unwrap().to_string(),
             out2.wa.function("inc").unwrap().to_string()
@@ -566,31 +563,57 @@ mod tests {
     }
 
     #[test]
+    fn warm_save_with_nothing_new_writes_nothing() {
+        use std::os::unix::fs::MetadataExt as _;
+        let dir = tmpdir("nowrite");
+        {
+            let sess = Session::new(opts(&dir));
+            let out = sess.translate(SRC).expect("translate");
+            sess.check_all_report(&out, 1).expect("check");
+        }
+        let pack = dir.join("store.pack");
+        let (before, meta) = (
+            std::fs::read(&pack).unwrap(),
+            std::fs::metadata(&pack).unwrap(),
+        );
+        let sess = Session::new(opts(&dir));
+        let out = sess.translate(SRC).expect("translate warm");
+        sess.check_all_report(&out, 1).expect("check warm");
+        let after = std::fs::metadata(&pack).unwrap();
+        assert_eq!(std::fs::read(&pack).unwrap(), before);
+        assert_eq!(
+            (after.ino(), after.modified().unwrap()),
+            (meta.ino(), meta.modified().unwrap())
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn corrupt_entries_are_rejected_individually() {
         let dir = tmpdir("corrupt");
         {
             let sess = Session::new(opts(&dir));
             sess.translate(SRC).expect("translate");
         }
-        // Flip one byte in the middle of every artifact file in turn and
-        // in replay.bin: each load must reject it and still succeed.
+        // Flip one byte in the middle of every record in turn (the replay
+        // record included): each load must reject it and still succeed.
         let clean = {
             let sess = Session::new(opts(&dir));
-            sess.translate(SRC).expect("translate").wa.function("inc").unwrap().to_string()
+            sess.translate(SRC)
+                .expect("translate")
+                .wa
+                .function("inc")
+                .unwrap()
+                .to_string()
         };
-        let mut paths: Vec<PathBuf> = std::fs::read_dir(dir.join("artifacts"))
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .collect();
-        paths.push(dir.join("replay.bin"));
-        for path in paths {
-            let orig = std::fs::read(&path).unwrap();
+        let path = dir.join("store.pack");
+        let orig = std::fs::read(&path).unwrap();
+        for range in record_ranges(&orig) {
             let mut bad = orig.clone();
-            let mid = bad.len() / 2;
-            bad[mid] ^= 0x01;
+            bad[(range.start + range.end) / 2] ^= 0x01;
             std::fs::write(&path, &bad).unwrap();
             let sess = Session::new(opts(&dir));
-            assert!(sess.load_report().rejected >= 1, "{}", path.display());
+            assert!(sess.load_report().rejected >= 1, "record {range:?}");
             let out = sess.translate(SRC).expect("translate survives corruption");
             assert_eq!(out.wa.function("inc").unwrap().to_string(), clean);
             std::fs::write(&path, &orig).unwrap();
@@ -605,9 +628,9 @@ mod tests {
             let sess = Session::new(opts(&dir));
             sess.translate(SRC).expect("translate");
         }
-        // Foreign + empty files among the entries: rejected, not fatal.
-        std::fs::write(dir.join("artifacts/README.txt"), b"not an artifact").unwrap();
-        std::fs::write(dir.join("artifacts/empty.bin"), b"").unwrap();
+        // Foreign + empty records in the pack: rejected, not fatal.
+        append_record(&dir, b"not an artifact");
+        append_record(&dir, b"");
         {
             let sess = Session::new(opts(&dir));
             assert_eq!(sess.load_report().rejected, 2);
@@ -615,11 +638,11 @@ mod tests {
             let out = sess.translate(SRC).expect("translate");
             assert_eq!(out.stats.dirty_fns, 0);
         }
-        // Version-skewed meta: the whole directory loads cold, with a
-        // warning, and the next save rewrites the header.
-        let mut meta = std::fs::read(dir.join("meta")).unwrap();
-        meta[9] ^= 0xff;
-        std::fs::write(dir.join("meta"), &meta).unwrap();
+        // A version-skewed header: the whole pack loads cold, with a
+        // warning, and the next save rewrites it.
+        let mut pack = std::fs::read(dir.join("store.pack")).unwrap();
+        pack[9] ^= 0xff;
+        std::fs::write(dir.join("store.pack"), &pack).unwrap();
         {
             let sess = Session::new(opts(&dir));
             let rep = sess.load_report();
@@ -627,10 +650,10 @@ mod tests {
             assert_eq!(rep.artifacts, 0);
             assert!(!rep.warnings.is_empty());
             let out = sess.translate(SRC).expect("translate cold");
-            assert!(out.stats.cold_start_ms.is_some());
+            assert_eq!(out.stats.cached_nodes, 0);
             assert!(out.stats.dirty_fns > 0);
         }
-        // The save above healed the meta header; loads are warm again.
+        // The save above healed the header; loads are warm again.
         let sess = Session::new(opts(&dir));
         assert!(!sess.load_report().version_skew);
         assert!(sess.load_report().artifacts > 0);
@@ -639,9 +662,9 @@ mod tests {
 
     #[test]
     fn pooled_decode_rejects_only_the_bad_entries() {
-        // Enough entries that `decode_all` plans a pool on a multi-CPU
-        // host: a corrupt entry and an unreadable one (a directory) must
-        // each cost exactly one rejection, never the load.
+        // Enough records that `decode_all` plans a pool on a multi-CPU
+        // host: a corrupt entry and a torn tail must each cost exactly
+        // one rejection, never the load.
         let src: String = (0..8)
             .map(|i| format!("unsigned f{i}(unsigned x) {{ return x + {i}u; }}\n"))
             .collect();
@@ -651,25 +674,23 @@ mod tests {
             let out = sess.translate(&src).expect("translate");
             out.wa.function("f3").unwrap().to_string()
         };
-        let mut paths: Vec<PathBuf> = std::fs::read_dir(dir.join("artifacts"))
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .collect();
-        paths.sort();
-        let cost = paths.len() as u64 * DECODE_ENTRY_COST;
+        let path = dir.join("store.pack");
+        let mut pack = std::fs::read(&path).unwrap();
+        let records = record_ranges(&pack);
+        let cost = records.len() as u64 * DECODE_ENTRY_COST;
         let planned = plan_workers(DECODE_MAX_WORKERS, cost, false);
         assert!(
             planned >= ir::sched::host_cpus().min(2),
             "decode planned inline"
         );
-        let mut bad = std::fs::read(&paths[5]).unwrap();
-        let mid = bad.len() / 2;
-        bad[mid] ^= 0x01;
-        std::fs::write(&paths[5], &bad).unwrap();
-        std::fs::create_dir(dir.join("artifacts/unreadable.bin")).unwrap();
+        // Entries come first, sorted by key; the replay record is last.
+        let bad = &records[5];
+        pack[(bad.start + bad.end) / 2] ^= 0x01;
+        pack.extend_from_slice(&[0xAC; 3]);
+        std::fs::write(&path, &pack).unwrap();
         let sess = Session::new(opts(&dir));
         assert_eq!(sess.load_report().rejected, 2);
-        assert_eq!(sess.load_report().artifacts, paths.len() - 1);
+        assert_eq!(sess.load_report().artifacts, records.len() - 2);
         let out = sess.translate(&src).expect("translate survives corruption");
         assert_eq!(out.wa.function("f3").unwrap().to_string(), clean);
         assert_eq!(out.stats.dirty_fns, 1, "only the corrupt entry recomputes");
@@ -683,7 +704,7 @@ mod tests {
             let sess = Session::new(opts(&dir));
             sess.translate(SRC).expect("translate");
         }
-        // A self-consistent entry (valid magic + digest) naming a phase
+        // A self-consistent record (valid magic + digest) naming a phase
         // this build does not know: must be rejected by name, not trusted.
         let mut e = Encoder::new();
         e.str("l9");
@@ -697,11 +718,7 @@ mod tests {
             body: monadic::Prog::Fail,
         })
         .encode(&mut e);
-        std::fs::write(
-            dir.join("artifacts/l9-inc-0000.bin"),
-            seal(ART_MAGIC, e.finish()),
-        )
-        .unwrap();
+        append_record(&dir, &seal(ART_MAGIC, &e.finish()));
         let sess = Session::new(opts(&dir));
         assert_eq!(sess.load_report().rejected, 1);
         assert!(sess.translate(SRC).is_ok());

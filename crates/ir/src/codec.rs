@@ -11,8 +11,9 @@
 //!   strings, and **DAG-aware back-references** so hash-consed subterms
 //!   ([`Interned`] handles) are written once and shared on reload — the
 //!   on-disk size mirrors the in-memory DAG, not the expanded tree,
-//! * [`digest128_bytes`], the stable 128-bit content digest used for
-//!   per-entry integrity checks.
+//! * [`digest128_bytes`], the stable 128-bit content digest, and
+//!   [`seal`]/[`unseal`], the one integrity-checked block format
+//!   (magic + payload + digest) of store records and certificates.
 //!
 //! Decoding is **total**: corrupt, truncated, or adversarial input
 //! produces a [`DecodeError`], never a panic, unbounded allocation, or
@@ -122,6 +123,45 @@ pub fn digest128_bytes(bytes: &[u8]) -> u128 {
     let lo = fnv(bytes, 0xcbf2_9ce4_8422_2325);
     let hi = fnv(bytes, 0xcbf2_9ce4_8422_2325 ^ 0x9e37_79b9_7f4a_7c15);
     (u128::from(hi) << 64) | u128::from(lo)
+}
+
+/// Why [`unseal`] refused a sealed block.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SealError {
+    /// Shorter than the magic plus the trailing digest.
+    Short,
+    /// The 8-byte magic/version prefix is not the expected one.
+    Magic,
+    /// The payload does not match its trailing digest.
+    Digest,
+}
+
+/// The one sealed-block format of the store records and proof
+/// certificates: `magic + payload + digest128(payload)` (little-endian).
+#[must_use]
+pub fn seal(magic: &[u8; 8], payload: &[u8]) -> Vec<u8> {
+    [magic, payload, &digest128_bytes(payload).to_le_bytes()].concat()
+}
+
+/// Inverse of [`seal`]: checks length, magic and digest, in that order,
+/// and returns the payload.
+///
+/// # Errors
+///
+/// The first check that failed.
+pub fn unseal<'a>(magic: &[u8; 8], bytes: &'a [u8]) -> Result<&'a [u8], SealError> {
+    if bytes.len() < magic.len() + 16 {
+        return Err(SealError::Short);
+    }
+    let (head, rest) = bytes.split_at(magic.len());
+    if head != magic {
+        return Err(SealError::Magic);
+    }
+    let (payload, digest) = rest.split_at(rest.len() - 16);
+    if digest != digest128_bytes(payload).to_le_bytes() {
+        return Err(SealError::Digest);
+    }
+    Ok(payload)
 }
 
 /// Serialisation sink: a byte buffer plus per-type back-reference tables
@@ -380,12 +420,6 @@ impl<'a> Decoder<'a> {
     /// the next postorder id (mirroring [`Encoder::define`]).
     pub fn shared_push<T: Clone + 'static>(&mut self, v: T) {
         self.shared_table::<T>().push(v);
-    }
-
-    /// Number of shared nodes of type `T` decoded so far.
-    #[must_use]
-    pub fn shared_count<T: Clone + 'static>(&mut self) -> usize {
-        self.shared_table::<T>().len()
     }
 }
 

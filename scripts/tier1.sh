@@ -93,6 +93,20 @@ diff -u "$golden" "$tmp_out" \
 ./target/release/autocorres --quiet --metrics --cache-dir "$cache_dir" "$tmp_c" \
     | grep -q 'misses=0 rejected=0 dirty_fns=0' \
     || { echo "tier1: warm start recomputed work" >&2; exit 1; }
+# The whole store is one pack file.
+[[ "$(ls -A "$cache_dir")" == "store.pack" ]] \
+    || { echo "tier1: cache dir holds more than store.pack: $(ls -A "$cache_dir")" >&2; exit 1; }
+# Source positions are not cache keys: a prepended comment line shifts
+# every span, yet only the span-keyed absint node may recompute.
+tmp_shifted="$cache_dir/shifted.c"
+{ echo '/* shifted by one line */'; cat "$tmp_c"; } > "$tmp_shifted"
+./target/release/autocorres --quiet --metrics --cache-dir "$cache_dir" "$tmp_shifted" \
+    | grep -qE 'misses=[01] rejected=0' \
+    || { echo "tier1: a moved function missed the cache" >&2; exit 1; }
+./target/release/autocorres --quiet --level wa --fn max --cache-dir "$cache_dir" "$tmp_shifted" > "$tmp_out"
+diff -u "$golden" "$tmp_out" \
+    || { echo "tier1: shifted-source warm run diverged" >&2; exit 1; }
+rm -f "$tmp_shifted"
 
 # Certificate smoke: the exported proof certificate must replay through
 # the independent certcheck binary, match the golden cert-v1 snapshot,

@@ -22,9 +22,10 @@
 //!                            overflow); `=deny` exits nonzero on any lint
 //!   --no-absint              disable the abstract-interpretation phase
 //!   --cache-dir DIR          persist the artifact store and replay cache in
-//!                            DIR so a later run (any process) warm-starts;
-//!                            corrupt or version-skewed entries degrade to
-//!                            recomputation, never to different output
+//!                            DIR/store.pack so a later run (any process)
+//!                            warm-starts; corrupt or version-skewed records
+//!                            degrade to recomputation, never to different
+//!                            output
 //!   --emit-cert FILE         export every checked theorem as a
 //!                            self-contained proof certificate, replayable
 //!                            offline with the `certcheck` binary
@@ -338,8 +339,21 @@ fn run(cli: &Cli) -> Result<(), String> {
         }
     }
     let out = sess.translate(&src).map_err(|e| e.to_string())?;
+    let res = report(cli, &sess, &out);
+    if let (Some(dir), Some(e)) = (&cli.cache_dir, sess.write_back_error()) {
+        eprintln!("warning: cache {dir}: write-back failed ({e})");
+    }
+    // The last write-back is done and the process is about to exit:
+    // freeing a seL4-scale output and session would only delay the exit.
+    std::mem::forget((out, sess));
+    res
+}
+
+/// Everything after translation: the certificate, the metrics or the
+/// printed specs, the lints, and the proof check.
+fn report(cli: &Cli, sess: &Session, out: &autocorres::Output) -> Result<(), String> {
     if let Some(path) = &cli.emit_cert {
-        emit_cert(path, &out)?;
+        emit_cert(path, out)?;
         if !cli.quiet {
             eprintln!(
                 "wrote certificate: {} theorem(s) to {path}",
@@ -354,10 +368,13 @@ fn run(cli: &Cli) -> Result<(), String> {
         println!("{:<18} {:>8} {:>12}", "parser output", pm.lines, pm.term_size);
         println!("{:<18} {:>8} {:>12}", "autocorres output", am.lines, am.term_size);
         if cli.cache_dir.is_some() {
-            let s = &out.stats;
+            let (s, jobs) = (&out.stats, out.wa.fns.len() * autocorres::PHASES.len());
             println!(
                 "store: hits={} misses={} rejected={} dirty_fns={}",
-                s.store_hits, s.store_misses, s.store_rejected, s.dirty_fns
+                s.cached_nodes,
+                jobs.saturating_sub(s.cached_nodes),
+                sess.load_report().rejected,
+                s.dirty_fns
             );
         }
         return Ok(());
@@ -375,7 +392,7 @@ fn run(cli: &Cli) -> Result<(), String> {
     };
     print_ctx(ctx, &cli.only)?;
     if cli.lint {
-        let n = print_lints(&out)?;
+        let n = print_lints(out)?;
         if cli.lint_deny && n > 0 {
             return Err(format!("--lint=deny: {n} lint(s)"));
         }
@@ -383,7 +400,7 @@ fn run(cli: &Cli) -> Result<(), String> {
     if cli.check {
         // Through the session (not `out.check_all()`) so a `--cache-dir`
         // run persists the newly validated replay digests too.
-        sess.check_all_report(&out, out.stats.workers)
+        sess.check_all_report(out, out.stats.workers)
             .map_err(|(f, e)| format!("proof check failed: {f}: {e}"))?;
         if !cli.quiet {
             eprintln!("all theorems replayed through the checker: OK");

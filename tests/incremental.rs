@@ -118,6 +118,43 @@ fn editing_one_function_reruns_exactly_the_dirty_cone() {
 }
 
 #[test]
+fn length_changing_edit_reruns_only_the_dirty_cone() {
+    // `diamond`, plus two dead stores in `lone` whose lint spans move
+    // whenever `leaf` changes length.
+    let src = |leaf_const: u32| {
+        diamond(leaf_const).replace(
+            "{ return x * 3u; }",
+            "{ unsigned d = 5u; d = x; return x * 3u; }",
+        )
+    };
+    let sess = Session::new(opts(2));
+    sess.translate(&src(1)).unwrap();
+
+    // `1u` → `1000u` shifts the byte offset of every later function; only
+    // `leaf`'s caller cone may re-run the translation and testing phases.
+    let incr = sess.translate(&src(1000)).unwrap();
+    assert_eq!(phase_cached(&incr, "l1"), 3);
+    assert_eq!(phase_cached(&incr, "hl"), 3);
+    assert_eq!(phase_cached(&incr, "l2"), 4);
+    assert_eq!(phase_cached(&incr, "wa"), 1);
+    assert_eq!(phase_cached(&incr, "adapt"), 1);
+
+    let typed = cparser::parse_and_check(&src(1000)).unwrap();
+    let fresh = translate_program(&typed, &opts(2)).unwrap();
+    assert_eq!(
+        render(&incr),
+        render(&fresh),
+        "incremental output diverges from scratch"
+    );
+    assert_eq!(fresh.lint_diags().len(), 2, "the dead stores are linted");
+    assert_eq!(
+        incr.lint_diags(),
+        fresh.lint_diags(),
+        "lint spans are stale"
+    );
+}
+
+#[test]
 fn session_replay_skips_previously_checked_proofs() {
     let sess = Session::new(opts(2));
     let out = sess.translate(&diamond(1)).unwrap();

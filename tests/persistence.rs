@@ -48,6 +48,40 @@ fn run_ok(cmd: &mut Command) -> Output {
     out
 }
 
+/// `store.pack`'s 40-byte header and its records (the sealed bytes after
+/// each u64 little-endian length prefix).
+fn read_pack(pack: &Path) -> (Vec<u8>, Vec<Vec<u8>>) {
+    let bytes = std::fs::read(pack).unwrap();
+    let (header, mut rest) = bytes.split_at(40);
+    let mut records = Vec::new();
+    while !rest.is_empty() {
+        let (len, tail) = rest.split_at(8);
+        let len = u64::from_le_bytes(len.try_into().unwrap()) as usize;
+        records.push(tail[..len].to_vec());
+        rest = &tail[len..];
+    }
+    (header.to_vec(), records)
+}
+
+fn write_pack(pack: &Path, header: &[u8], records: &[Vec<u8>]) {
+    let mut bytes = header.to_vec();
+    for r in records {
+        bytes.extend_from_slice(&(r.len() as u64).to_le_bytes());
+        bytes.extend_from_slice(r);
+    }
+    std::fs::write(pack, bytes).unwrap();
+}
+
+/// The names of the files in a cache directory.
+fn cache_files(cache: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(cache)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
+}
+
 /// The `store: hits=.. misses=.. rejected=.. dirty_fns=..` metrics line.
 fn store_line(stdout: &[u8]) -> String {
     String::from_utf8_lossy(stdout)
@@ -112,23 +146,21 @@ fn corrupt_cache_recomputes_with_identical_bytes() {
     };
     let clean = run(&cache);
 
-    // Truncate one artifact, bit-flip another, empty a third, and delete
-    // a fourth: the warm start degrades for those functions only, and
-    // the output bytes cannot change.
-    let mut entries: Vec<PathBuf> = std::fs::read_dir(cache.join("artifacts"))
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .collect();
-    entries.sort();
+    // Truncate one artifact record, bit-flip another, empty a third, and
+    // delete a fourth: the warm start degrades for those functions only,
+    // and the output bytes cannot change.
+    let pack = cache.join("store.pack");
+    let (header, mut entries) = read_pack(&pack);
+    let replay = entries.pop().expect("the replay record comes last");
     assert!(entries.len() >= 4, "expected a populated store");
-    let bytes = std::fs::read(&entries[0]).unwrap();
-    std::fs::write(&entries[0], &bytes[..bytes.len() / 2]).unwrap();
-    let mut bytes = std::fs::read(&entries[1]).unwrap();
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x40;
-    std::fs::write(&entries[1], &bytes).unwrap();
-    std::fs::write(&entries[2], b"").unwrap();
-    std::fs::remove_file(&entries[3]).unwrap();
+    let half = entries[0].len() / 2;
+    entries[0].truncate(half);
+    let mid = entries[1].len() / 2;
+    entries[1][mid] ^= 0x40;
+    entries[2].clear();
+    entries.remove(3);
+    entries.push(replay);
+    write_pack(&pack, &header, &entries);
 
     let damaged = run(&cache);
     assert_eq!(clean.stdout, damaged.stdout, "corruption changed output bytes");
@@ -152,11 +184,11 @@ fn version_skewed_meta_degrades_to_cold_start() {
     let clean = run(&["--quiet"]);
     assert!(clean.status.success());
 
-    // Rewrite the meta header as a future format version would.
-    let meta = cache.join("meta");
-    let mut m = std::fs::read(&meta).unwrap();
+    // Rewrite the pack header as a future format version would.
+    let pack = cache.join("store.pack");
+    let mut m = std::fs::read(&pack).unwrap();
     m[7] = b'9';
-    std::fs::write(&meta, &m).unwrap();
+    std::fs::write(&pack, &m).unwrap();
 
     let skew = run(&[]);
     assert!(skew.status.success(), "skew must never be fatal");
@@ -174,17 +206,135 @@ fn garbage_cache_directory_never_panics_or_fails() {
     let dir = tmpdir("garbage");
     let src = gen_source(&dir);
     let cache = dir.join("cache");
-    std::fs::create_dir_all(cache.join("artifacts")).unwrap();
-    std::fs::write(cache.join("meta"), b"").unwrap();
-    std::fs::write(cache.join("replay.bin"), b"\x00\x01\x02").unwrap();
-    std::fs::write(cache.join("artifacts/notes.txt"), b"hello").unwrap();
-    std::fs::write(cache.join("artifacts/empty.bin"), b"").unwrap();
-    let mut c = bin();
-    c.arg(&src)
-        .args(["--quiet", "--level", "wa", "--trials", "2"])
-        .arg("--cache-dir")
-        .arg(&cache);
-    run_ok(&mut c);
+    std::fs::create_dir_all(&cache).unwrap();
+    let pack = cache.join("store.pack");
+    std::fs::write(&pack, b"").unwrap();
+    let run = || {
+        let mut c = bin();
+        c.arg(&src)
+            .args(["--quiet", "--level", "wa", "--trials", "2"])
+            .arg("--cache-dir")
+            .arg(&cache);
+        run_ok(&mut c)
+    };
+    run();
+    // A valid header followed by garbage records and a torn tail.
+    let (header, _) = read_pack(&pack);
+    let mut bytes = header;
+    bytes.extend_from_slice(&5u64.to_le_bytes());
+    bytes.extend_from_slice(b"hello");
+    bytes.extend_from_slice(&0u64.to_le_bytes());
+    bytes.extend_from_slice(b"\x00\x01\x02");
+    std::fs::write(&pack, bytes).unwrap();
+    run();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn concurrent_processes_share_one_cache() {
+    let dir = tmpdir("concurrent");
+    let src = gen_source(&dir);
+    let cache = dir.join("cache");
+    let spawn = |extra: &[&str]| {
+        let mut c = bin();
+        c.arg(&src)
+            .args(["--quiet", "--trials", "2"])
+            .args(extra)
+            .arg("--cache-dir")
+            .arg(&cache)
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped());
+        c.spawn().unwrap()
+    };
+    // Six processes race on one fresh directory, then all must agree.
+    let children: Vec<_> = (0..6).map(|_| spawn(&[])).collect();
+    let outs: Vec<Output> = children
+        .into_iter()
+        .map(|c| {
+            let out = c.wait_with_output().unwrap();
+            assert!(
+                out.status.success(),
+                "{}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            out
+        })
+        .collect();
+    for out in &outs[1..] {
+        assert_eq!(outs[0].stdout, out.stdout, "concurrent runs diverged");
+    }
+    assert_eq!(cache_files(&cache), ["store.pack"]);
+    let warm = spawn(&["--metrics"]).wait_with_output().unwrap();
+    assert!(warm.status.success());
+    let line = store_line(&warm.stdout);
+    assert!(line.contains("misses=0 rejected=0"), "{line}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn warm_check_run_leaves_the_pack_untouched() {
+    use std::os::unix::fs::MetadataExt as _;
+    let dir = tmpdir("untouched");
+    let src = gen_source(&dir);
+    let cache = dir.join("cache");
+    let run = || {
+        let mut c = bin();
+        c.arg(&src)
+            .args(["--quiet", "--trials", "2", "--check", "--emit-cert"])
+            .arg(dir.join("out.cert"))
+            .arg("--cache-dir")
+            .arg(&cache);
+        run_ok(&mut c)
+    };
+    run();
+    let pack = cache.join("store.pack");
+    let (bytes, meta) = (
+        std::fs::read(&pack).unwrap(),
+        std::fs::metadata(&pack).unwrap(),
+    );
+    run();
+    let after = std::fs::metadata(&pack).unwrap();
+    assert_eq!(
+        std::fs::read(&pack).unwrap(),
+        bytes,
+        "warm run rewrote the pack"
+    );
+    assert_eq!(
+        (after.ino(), after.modified().unwrap()),
+        (meta.ino(), meta.modified().unwrap()),
+        "warm run replaced the pack"
+    );
+    assert_eq!(cache_files(&cache), ["store.pack"]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn write_back_failure_is_reported_without_changing_output() {
+    let dir = tmpdir("writefail");
+    let src = gen_source(&dir);
+    let cache = dir.join("cache");
+    // A directory where the pack should be: no process, root included,
+    // can rename a file over it.
+    std::fs::create_dir_all(cache.join("store.pack")).unwrap();
+    let plain = run_ok(bin().arg(&src).args(["--quiet", "--trials", "2"]));
+    let cached = run_ok(
+        bin()
+            .arg(&src)
+            .args(["--quiet", "--trials", "2", "--cache-dir"])
+            .arg(&cache),
+    );
+    assert_eq!(
+        plain.stdout, cached.stdout,
+        "a failed write-back changed the output"
+    );
+    let stderr = String::from_utf8_lossy(&cached.stderr);
+    assert!(
+        stderr.contains(&format!(
+            "warning: cache {}: write-back failed (",
+            cache.display()
+        )),
+        "write-back failure not reported: {stderr}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
